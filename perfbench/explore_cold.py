@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import common
 import pools
 import tracing
-from layers import layer_unit, zero_layers
+from layers import layer_unit, shared_layers
 
 WORKLOAD = "explore-cold"
 
@@ -77,33 +77,22 @@ def _check(outcome, expected, certify, run: common.Run) -> bool:
 
 
 def _layer_metrics(tracer: tracing.Tracer) -> Dict[str, float]:
-    layers = zero_layers()
+    # wrappers are installed only around the tasks, so every span is a task's
     roots = [span for span in tracer.spans if span.name == "task" and span.parent is None]
+    layers = shared_layers([tracing.span_dict(span) for span in tracer.spans], len(roots))
     grouped = tracing.self_times_by_root(tracer.spans)
     per_task = [grouped[id(root)] for root in roots]
-    count = len(per_task) or 1
 
-    def per(name: str, tasks=per_task) -> float:
+    def per(name: str, tasks) -> float:
         return sum(t.get(name, 0.0) for t in tasks) / (len(tasks) or 1)
 
     by_size = lambda size: [t for root, t in zip(roots, per_task) if root.attrs["size"] == size]
-    layers["ir.graph_load_s"] = per("ir.graph_load")
     layers["ir.graph_load_s.240"] = per("ir.graph_load", by_size(240))
-    for name in ("select", "schedule", "bind", "finalize", "analyze"):
-        layers[f"api.pass.{name}_s"] = per(f"api.pass.{name}")
     for size in (40, 120, 240):
         layers[f"api.pass.schedule_s.{size}"] = per("api.pass.schedule", by_size(size))
-    layers["api.cache_key_s"] = per("api.cache_key")
-    layers["api.unattributed_s"] = per("task")
-    layers["verify.certify_s"] = per("verify.certify")
-    # wrappers are installed only around the tasks, so every span is a task's
-    spans = tracer.spans
-    layers["verify.certify_calls"] = sum(1 for s in spans if s.name == "verify.certify") / count
-    layers["store.put_s"] = per("store.put")
-    layers["store.get_s"] = per("store.get")
-    gets = [s for s in spans if s.name == "store.get"]
-    layers["store.hit_ratio"] = sum(1 for s in gets if s.attrs.get("hit")) / (len(gets) or 1)
-    layers["sched.engine_s"] = sum(root.duration for root in roots) / count
+    layers["api.unattributed_s"] = per("task", per_task)
+    # every task runs the engine scheduler, inside the schedule pass
+    layers["sched.engine_s"] = layers["api.pass.schedule_s"]
     return layers
 
 

@@ -8,7 +8,7 @@ unless the name says otherwise; ``serve.*`` times are medians per job.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: (name, unit, better) of every per-layer metric, in report order.
 LAYER_METRICS: Tuple[Tuple[str, str, str], ...] = (
@@ -69,6 +69,34 @@ END_TO_END: Tuple[Tuple[str, str, str, float], ...] = (
 def zero_layers() -> Dict[str, float]:
     """Every per-layer metric at 0, for a workload to fill in."""
     return {name: 0.0 for name, _, _ in LAYER_METRICS}
+
+
+def shared_layers(spans: List[Dict[str, Any]], count: int) -> Dict[str, float]:
+    """The layer metrics every workload reads the same way from its spans.
+
+    ``spans`` are span dicts (:func:`tracing.span_dict` form) and ``count``
+    is the number of operations they cover: graph load, the five passes,
+    content addressing, certification and store reads/writes, as self
+    time per operation, plus certification calls per operation and the
+    share of store reads that hit.  Every other metric reads 0.
+    """
+    layers = zero_layers()
+    count = count or 1
+
+    def per_op(name: str) -> float:
+        return sum(s["self"] for s in spans if s["name"] == name) / count
+
+    layers["ir.graph_load_s"] = per_op("ir.graph_load")
+    for name in ("select", "schedule", "bind", "finalize", "analyze"):
+        layers[f"api.pass.{name}_s"] = per_op(f"api.pass.{name}")
+    layers["api.cache_key_s"] = per_op("api.cache_key")
+    layers["verify.certify_s"] = per_op("verify.certify")
+    layers["verify.certify_calls"] = sum(1 for s in spans if s["name"] == "verify.certify") / count
+    layers["store.put_s"] = per_op("store.put")
+    layers["store.get_s"] = per_op("store.get")
+    gets = [s for s in spans if s["name"] == "store.get"]
+    layers["store.hit_ratio"] = sum(1 for s in gets if s["attrs"].get("hit")) / (len(gets) or 1)
+    return layers
 
 
 def layer_unit(name: str) -> str:

@@ -1,15 +1,12 @@
 """Regenerate ``expected.json``: the pinned outcome of every pool input.
 
-Run from the checkout root (takes a few minutes on two cores)::
+Run from the checkout root (takes a minute or two on two cores)::
 
     python3 perfbench/make_expected.py
 
-* ``records`` maps the content address of every task explore-cold and
-  serve-mix can submit to its ``(feasible, area, latency, peak_power,
-  error_type)``, so a run that changes any schedule shows failures.
-* ``oracle_seconds`` holds each oracle-small case's wall time in a
-  killable child (capped at :data:`CAP_S`); oracle-small reads it to keep
-  the pool's share of over-limit cases in every round.
+``records`` maps the content address of every task explore-cold and
+serve-mix can submit to its ``(feasible, area, latency, peak_power,
+error_type)``, so a run that changes any schedule shows failures.
 
 Regenerate only when a change is *meant* to alter results, and say so.
 """
@@ -21,13 +18,9 @@ import sys
 
 import common
 
-#: Oracle cases still running after this many seconds are recorded at it.
-CAP_S = 30.0
-
 
 def main() -> int:
     common.require_program()
-    import oracle_small
     import pools
     from repro.api.batch import run_batch
 
@@ -37,13 +30,8 @@ def main() -> int:
     pinned = {key: common.pinned(record.to_dict()) for key, record in zip(keys, records)}
     print(f"pinned {len(pinned)} task outcomes", flush=True)
 
-    seconds = {}
-    for case in pools.oracle_cases():
-        outcome = oracle_small.run_case(case, CAP_S)
-        seconds[outcome.name] = round(outcome.seconds, 3)
-        print(f"  {outcome.name}: {outcome.seconds:.3f} s{' (cap)' if outcome.killed else ''}", flush=True)
     with open(common.EXPECTED_PATH, "w") as handle:
-        json.dump({"records": pinned, "oracle_seconds": seconds}, handle, indent=0, sort_keys=True)
+        json.dump({"records": pinned}, handle, indent=0, sort_keys=True)
         handle.write("\n")
     return 0
 

@@ -28,16 +28,23 @@ PAPER_GRAPHS = ("hal", "cosine", "elliptic", "fir", "ar")
 # analytic power floor (cheap typed infeasibility, where graph load is
 # most of the cost) up to generous budgets (full synthesis) so a gain in
 # scheduling cannot hide a regression in graph load.
-# Each block puts every factor on a *different* graph of each size class,
-# and a class's pool graphs spread evenly over +-15% of its size (all but
-# the largest), so task times form a continuum: a run averages over many
-# graphs, and the median does not sit on a gap between classes.  Paper graphs take three factors
-# so they stay a minority of the tasks.
+# Every block holds the same mix, so the mix of a run does not depend on
+# how many blocks fit in --seconds on a given host.  A class's pool graphs
+# spread evenly over +-15% of its size (all but the largest) and fall into
+# one size stratum per power factor; each factor always runs on a graph of
+# the same stratum (a fixed pairing, shifted from class to class), so task
+# times form a continuum and the median does not sit on a gap between
+# classes.  A stratum holds three graphs and the paper graphs' slack
+# rotates over three values, so any three blocks in a row run the whole
+# pool: a run of three blocks holds the same tasks whatever the seed, and
+# the seed picks only which block runs which stratum member and slack, and
+# the order.  Paper graphs take three factors so they stay a minority of
+# the tasks.
 EXPLORE_SIZES = (40, 80, 120, 160, 240)
 EXPLORE_FACTORS = (0.6, 0.9, 1.3, 2.0, 3.0)
 PAPER_FACTORS = (0.6, 1.3, 3.0)
-EXPLORE_BLOCKS = 4
-EXPLORE_GRAPHS_PER_SIZE = EXPLORE_BLOCKS * len(EXPLORE_FACTORS)
+EXPLORE_STRATUM = 3
+EXPLORE_GRAPHS_PER_SIZE = EXPLORE_STRATUM * len(EXPLORE_FACTORS)
 EXPLORE_SLACK = 8
 PAPER_SLACKS = (2, 4, 6)
 
@@ -52,15 +59,20 @@ PAPER_SLACKS = (2, 4, 6)
 # mix, and a few back-to-back identical pairs exercise single-flight.
 # HTTP admission, the queue, worker IPC, claims and store reads do the
 # work; the engine does little.
-CORPUS_SLACKS = tuple(range(20))
-CORPUS_LOW_FACTORS = (0.5, 0.75, 1.0, 1.25)
+CORPUS_SLACKS = tuple(range(30))
+CORPUS_LOW_FACTORS = (0.5, 0.6, 0.75, 0.9, 1.0, 1.25)
 CORPUS_HIGH = {"hal": (tuple(range(20)), (1.8, 2.4, 3.0))}
 CORPUS_HIGH_DEFAULT = (tuple(range(5)), (2.4, 3.0))
-COLD_SLACKS = tuple(range(8))
-COLD_FACTORS = (0.95, 1.5, 2.1, 2.7)
-COLD_INLINE_SIZES = (20, 30, 40, 50, 60)
-COLD_INLINE_PER_SIZE = 8
-COLD_INLINE_FACTORS = (0.9, 2.2)
+# Fresh tasks are budgets generous enough to synthesize, on graphs whose
+# op counts run through every size from 20 to 60, so their times form a
+# continuum (about 15-150 ms) and the percentiles that fall among them do
+# not sit on a gap.  The pool holds 546 tasks, enough for 60 s at
+# serve-mix's rate.
+COLD_SLACKS = tuple(range(30))
+COLD_FACTORS = (2.1, 2.7)
+COLD_INLINE_SIZES = tuple(range(20, 61))
+COLD_INLINE_PER_SIZE = 6
+COLD_INLINE_FACTORS = (2.2,)
 
 # --------------------------------------------------------------------------- #
 # oracle-small: the differential fuzz oracle.
@@ -172,44 +184,46 @@ class Graph:
 # Seeded draws
 # --------------------------------------------------------------------------- #
 def explore_blocks(seed: int):
-    """Yield the run's blocks lazily, without end: one stated mix per block.
+    """Yield the run's blocks lazily, without end: the same mix in each.
 
-    Block ``b`` runs, for every size class, each power factor on its own
-    pool graph, plus every paper graph over three factors at one seeded slack,
-    in a seeded order.  The largest class always runs its first five pool
-    graphs, one per factor.  Every block is the same size and budget mix, so
-    a run of whole blocks is too.  After :data:`EXPLORE_BLOCKS` blocks the
-    pool is dealt again in a new seeded order.
+    In block ``b``, for every size class but the largest, factor ``f``
+    runs on the ``b``-th member (from a seeded offset) of size stratum
+    ``(f + class) mod 5`` of that class's pool; the largest class runs its
+    first five pool graphs, one per factor; each paper graph runs three
+    factors at a slack that rotates over :data:`PAPER_SLACKS` from graph
+    to graph and block to block.  The tasks of a block run in a seeded
+    order.
     """
     rng = random.Random(f"explore:{seed}")
     width = len(EXPLORE_FACTORS)
+    offsets = {size: rng.randrange(EXPLORE_STRATUM) for size in EXPLORE_SIZES}
+    paper_offset = rng.randrange(len(PAPER_SLACKS))
+    block = 0
     while True:
-        picks = {size: rng.sample(range(EXPLORE_GRAPHS_PER_SIZE), EXPLORE_GRAPHS_PER_SIZE) for size in EXPLORE_SIZES}
-        for block in range(EXPLORE_BLOCKS):
-            items: List[Item] = []
-            for size in EXPLORE_SIZES:
-                factors = list(EXPLORE_FACTORS)
-                indices = picks[size][block * width:(block + 1) * width]
+        items: List[Item] = []
+        for rank, size in enumerate(EXPLORE_SIZES):
+            for slot, factor in enumerate(EXPLORE_FACTORS):
                 if size == EXPLORE_SIZES[-1]:
                     # the largest class is fixed work: its feasible tasks
                     # are the slowest of a run and set p99
-                    indices = range(width)
+                    index = slot
                 else:
-                    rng.shuffle(factors)
-                for index, factor in zip(indices, factors):
-                    graph = Graph(explore_graph(size, index), size=size)
-                    items.extend(graph.sweep(EXPLORE_SLACK, (factor,)))
-            slack = rng.choice(PAPER_SLACKS)
-            for name in PAPER_GRAPHS:
-                items.extend(Graph.paper(name).sweep(slack, PAPER_FACTORS))
-            rng.shuffle(items)
-            yield items
+                    stratum = (slot + rank) % width
+                    index = stratum * EXPLORE_STRATUM + (offsets[size] + block) % EXPLORE_STRATUM
+                graph = Graph(explore_graph(size, index), size=size)
+                items.extend(graph.sweep(EXPLORE_SLACK, (factor,)))
+        for position, name in enumerate(PAPER_GRAPHS):
+            slack = PAPER_SLACKS[(position + block + paper_offset) % len(PAPER_SLACKS)]
+            items.extend(Graph.paper(name).sweep(slack, PAPER_FACTORS))
+        rng.shuffle(items)
+        yield items
+        block += 1
 
 
 def serve_corpus() -> List[Item]:
     """The points the store is pre-filled with (the hit population).
 
-    ~500 points: every paper graph at 20 latency bounds up to 1.25x its
+    ~1000 points: every paper graph at 30 latency bounds up to 1.25x its
     power floor (mostly infeasible, so cheap to pre-fill), plus feasible
     points at generous budgets.
     """
@@ -226,7 +240,7 @@ def serve_corpus() -> List[Item]:
 
 def serve_cold_pool() -> List[Item]:
     """Fresh small tasks: paper graphs at budgets the corpus never holds,
-    and 20-60-op inline layered graphs."""
+    and inline layered graphs of every size from 20 to 60 ops."""
     items: List[Item] = []
     for name in PAPER_GRAPHS:
         graph = Graph.paper(name)

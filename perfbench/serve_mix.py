@@ -6,9 +6,13 @@ corpus, once per invocation) and that every boot gets a fresh copy of.
 One generator process — this one — sends requests on a fixed schedule
 over at most two keep-alive connections: a submitter that POSTs each job
 when it is due, and a poller that follows every outstanding job with
-``GET /jobs/<id>``.  Latency is timed from when a job was *due*, so a
-stall also delays every job behind it; a run whose generator fell behind
-or whose backlog grew is reported invalid instead of scored.
+``GET /jobs/<id>`` at the cadence of the program's own ``Client.wait``
+(once right after admission, then every 50 ms).  Latency runs from when a
+job was *due* to when the service finished it (the job's ``finished_at``),
+so a stall also delays every job behind it; the further 0-50 ms until a
+poll delivers the result is the client's poll cadence, reported as
+``serve.result_lag_s``.  A run whose generator fell behind or whose
+backlog grew is reported invalid instead of scored.
 """
 
 from __future__ import annotations
@@ -30,26 +34,27 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import common
 import pools
-from layers import layer_unit, zero_layers
+from layers import layer_unit, shared_layers
 
 WORKLOAD = "serve-mix"
 
-#: Offered load in jobs per second: under half the highest rate probed
-#: without a growing backlog (80/s on 2 cores).  The service's
-#: single-threaded front, not its workers, saturates first, and queueing
-#: there turns a slowdown of a shared machine into a longer tail.  At 34/s
-#: a 30 s run has 10 samples above p99.
+#: Offered load in jobs per second.  It keeps the two process workers of a
+#: two-core machine about 30% busy (printed with every run as "workers
+#: busy").  The cores are shared with the service's front and the
+#: generator, and on a shared machine they can run half as fast for
+#: minutes: at twice this rate (60-80% busy) such a slowdown drove the
+#: service into a growing backlog.
 RATE = 34.0
 #: Share of arrivals that are fresh (cold) tasks; the rest repeat corpus
-#: points.  Above 10%, so p90 and p99 fall among fresh tasks, whose time is
-#: synthesis, rather than on the queueing tail of the repeats.
+#: points.  Above 10%, so p99 and most of the jobs above p90 are fresh
+#: tasks, whose time is synthesis.
 COLD_SHARE = 0.12
 #: Cold arrivals submitted twice back to back (single-flight pairs).
 PAIRS = 5
 #: Skew of the repeat draw over the corpus (Zipf exponent over a seeded order).
 ZIPF_EXPONENT = 0.5
-#: Seconds between polls of one outstanding job.
-POLL_S = 0.004
+#: Seconds between polls of one outstanding job: ``Client.wait``'s default.
+POLL_S = 0.05
 #: Boots per run; the median boot time is ``setup_s``, the last boot is measured.
 BOOTS = 5
 #: Backlog bound handed to the service (beyond it: HTTP 429).
@@ -77,7 +82,7 @@ class Arrival:
     status: int = 0
     job_id: str = ""
     admit_s: float = 0.0
-    observed: float = 0.0
+    finished: float = 0.0  # the job's finished_at, on this process's clock
     observed_epoch: float = 0.0
     polls: int = 0
     job: Optional[Dict[str, Any]] = None
@@ -136,7 +141,10 @@ def schedule(seed: int, seconds: float, corpus, cold_pool) -> List[Arrival]:
     for members in fresh.values():
         rng.shuffle(members)
     hit_labels = iter(_labels(rng, hits, count - len(cold_slots)))
-    cold_labels = iter(_labels(rng, fresh, len(cold_slots)))
+    cold_labels = _labels(rng, fresh, len(cold_slots))
+    if any(cold_labels.count(label) > len(fresh[label]) for label in fresh):
+        raise ValueError(f"{seconds:g} s at {RATE:g}/s needs more fresh tasks than the pool holds")
+    cold_labels = iter(cold_labels)
     arrivals: List[Arrival] = []
     for index in range(count):
         if index in cold_slots:
@@ -207,6 +215,9 @@ class Service:
         self.process = subprocess.Popen(
             argv, stdout=subprocess.PIPE, env=env, cwd=str(common.ROOT),
             start_new_session=True, text=True,
+            # a benchmark started in the background may ignore SIGINT; the
+            # service would inherit that and ignore stop()'s graceful SIGINT
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
         try:
             line = self.process.stdout.readline()
@@ -276,7 +287,7 @@ def _poller(service: Service, outstanding: Dict[str, Arrival], cond: threading.C
             arrival.polls += 1
             now = time.perf_counter()
             if status == 200 and payload["state"] in ("done", "failed"):
-                arrival.observed, arrival.observed_epoch = now, time.time()
+                arrival.observed_epoch = time.time()
                 arrival.job = payload
                 with cond:
                     del outstanding[job_id]
@@ -297,6 +308,8 @@ def drive(service: Service, arrivals: List[Arrival]) -> Dict[str, Any]:
     poller = threading.Thread(target=_poller, args=(service, outstanding, cond, done), daemon=True)
     poller.start()
     origin = time.perf_counter() + 0.05
+    # the service stamps jobs with time.time(); this maps them onto the schedule's clock
+    epoch_offset = time.time() - time.perf_counter()
     try:
         for arrival in arrivals:
             delay = origin + arrival.due - time.perf_counter()
@@ -334,6 +347,8 @@ def drive(service: Service, arrivals: List[Arrival]) -> Dict[str, Any]:
         submit.close()
     for arrival in arrivals:
         arrival.due += origin
+        if arrival.job is not None and arrival.job.get("finished_at"):
+            arrival.finished = arrival.job["finished_at"] - epoch_offset
     return {"depth_start": depth_start, "depth_end": depth_end, "stats": stats}
 
 
@@ -392,7 +407,7 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
     for arrival in arrivals:
         reason = _check(arrival, expected)
         if reason is None:
-            latencies.append(arrival.observed - arrival.due)
+            latencies.append(arrival.finished - arrival.due)
         else:
             failed += 1
             if not arrival.error.startswith("HTTP 429"):
@@ -425,10 +440,17 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
         f"inline share {sum(a.inline for a in arrivals) / len(arrivals):.3f}; "
         f"{len(pairs)} single-flight pairs",
     )
+    # from the first job's due time to the last job the service finished
+    window = max([a.finished for a in arrivals], default=0.0) - arrivals[0].due
+    timed = [a for a in arrivals if a.job is not None and a.job.get("started_at") and a.finished]
+    busy = sum(a.job["finished_at"] - a.job["started_at"] for a in timed)
+    polls = sum(a.polls for a in arrivals)
     common.note(
         WORKLOAD,
         f"queue depth {facts['depth_start']} at start, {facts['depth_end']} at end; "
-        f"generator lag p99 {lag_p99 * 1000:.2f} ms",
+        f"generator lag p99 {lag_p99 * 1000:.2f} ms; workers busy "
+        f"{busy / (window * cores()) if window > 0 else 0.0:.3f}; {polls / (len(arrivals) or 1):.2f} "
+        f"polls per job, {polls / (polls + len(arrivals)):.3f} of the generator's requests",
     )
     if lag_p99 > MAX_GEN_LAG_P99_S:
         result.invalid = f"generator fell behind (lag p99 {lag_p99:.3f} s)"
@@ -444,10 +466,11 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
             result.metric(name, value, layer_unit(name))
         return result
 
-    # from the first job's due time to the last completion observed
-    window = max([a.observed for a in arrivals if a.job is not None], default=0.0) - arrivals[0].due
     common.note(WORKLOAD, f"{common.samples_note(len(arrivals), failed)}; boots {[round(b, 3) for b in boots]} s")
     result.metric("setup_s", statistics.median(boots), "s")
+    # Inert here: at a fixed offered rate, throughput reads that rate and
+    # moves only when jobs fail.  Printed because every workload prints
+    # every metric; latency is serve-mix's measure of speed.
     completed = len(arrivals) - failed
     total = max(window, 0.0)
     result.metric("tasks_per_s", completed / total if total else 0.0, "1/s")
@@ -460,23 +483,13 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
 
 
 def _layer_metrics(arrivals: List[Arrival], facts, trace_dir: Path, lag_p99: float) -> Dict[str, float]:
-    layers = zero_layers()
     jobs = [a for a in arrivals if a.job is not None]
-    count = len(jobs) or 1
     spans = []
     for path in trace_dir.glob("spans-*.jsonl"):
         spans.extend(json.loads(line) for line in path.read_text().splitlines())
-    total = lambda name: sum(s["self"] for s in spans if s["name"] == name) / count
-    layers["ir.graph_load_s"] = total("ir.graph_load")
-    for name in ("select", "schedule", "bind", "finalize", "analyze"):
-        layers[f"api.pass.{name}_s"] = total(f"api.pass.{name}")
-    layers["api.cache_key_s"] = total("api.cache_key")
-    layers["verify.certify_s"] = total("verify.certify")
-    layers["verify.certify_calls"] = sum(1 for s in spans if s["name"] == "verify.certify") / count
-    layers["store.put_s"] = total("store.put")
-    layers["store.get_s"] = total("store.get")
+    layers = shared_layers(spans, len(jobs))
+    count = len(jobs) or 1
     gets = [s for s in spans if s["name"] == "store.get"]
-    layers["store.hit_ratio"] = sum(1 for s in gets if s["attrs"].get("hit")) / (len(gets) or 1)
 
     def med(values):
         return common.median(list(values))
