@@ -138,12 +138,14 @@ def proc_children(pid: int) -> List[int]:
 # --------------------------------------------------------------------------- #
 # Set-up timing
 # --------------------------------------------------------------------------- #
-#: Repetitions of every set-up measurement; the median is reported.
-SETUP_REPEATS = 5
+#: Set-up measurements taken before each repetition or round of a run;
+#: spread over the run like this, their median does not hang on how fast
+#: the host was in the run's first seconds.
+SETUP_REPEATS = 2
 
 
-def time_interpreter_setup(code: str, *, fresh_dir: bool = False) -> float:
-    """Median seconds for a fresh interpreter to run ``code`` and exit.
+def time_interpreter_setup(code: str, *, fresh_dir: bool = False) -> List[float]:
+    """Seconds for a fresh interpreter to run ``code`` and exit, per repeat.
 
     ``code`` imports what a user's first call needs and opens what it
     opens; its exit is the moment the first operation could start.  With
@@ -158,7 +160,7 @@ def time_interpreter_setup(code: str, *, fresh_dir: bool = False) -> float:
         started = time.perf_counter()
         subprocess.run(argv, env=env, check=True, cwd=str(ROOT))
         times.append(time.perf_counter() - started)
-    return statistics.median(times)
+    return times
 
 
 # --------------------------------------------------------------------------- #

@@ -1,22 +1,30 @@
 """explore-cold: sequential cold sweeps through ``run_task`` in one process.
 
-Each block (see :func:`pools.explore_blocks`) runs against a fresh, empty
-store with the default backend, through ``run_task(verify=True,
-cache=...)`` — the path ``repro sweep`` takes.  Blocks run whole until
-``--seconds`` have passed, so a run always holds the stated size mix.
+A run repeats one fixed block of tasks (see :func:`pools.explore_block`)
+until ``--seconds`` have passed, each repetition in a seeded order
+against a fresh, empty store with the default backend, through
+``run_task(verify=True, cache=...)`` — the path ``repro sweep`` takes.
 
-The traced run measures every block twice on fresh stores, untraced and
-traced in alternating order, which gives the per-layer self times and the
-tracing overhead on identical work.
+The host's speed drifts by a third and more over tens of seconds, and
+large tasks slow down more than small ones, so a single timing of a task
+mostly measures when it ran.  A task's latency is therefore the fastest
+of its cold runs in the run (every run of it is the same work on an
+empty store), and the percentiles and ``tasks_per_s`` are taken over the
+block's tasks at those latencies.
+
+The traced run measures every repetition twice on fresh stores, untraced
+and traced in alternating order, which gives the per-layer self times and
+the tracing overhead on identical work.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 import statistics
 import time
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import common
 import pools
@@ -102,25 +110,29 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
 
     result = common.Run(WORKLOAD)
     expected = common.load_expected()["records"]
-    setup_s = None if trace else common.time_interpreter_setup(SETUP_CODE, fresh_dir=True)
+    setup_times = []
 
     tracer = tracing.Tracer() if trace else None
     targets = tracing.layer_targets(tracer) if trace else []
-    # (size class, ops, below floor, feasible) per task of the scored pass;
-    # records and graphs are dropped once checked, so peak RSS is the program's
-    measured: List[Tuple[int, int, bool, bool]] = []
-    latencies: List[float] = []
-    total = 0.0
-    failed = 0
+    block = pools.explore_block()
+    rng = random.Random(f"explore:{seed}")
+    # fastest run per task, and the tasks with a failed run; records are
+    # dropped once checked, so peak RSS is the program's
+    best: Dict[str, float] = {}
+    wrong = set()
+    feasible = set()
+    runs = failed = repetitions = 0
     untraced_time = traced_time = 0.0
     started = time.perf_counter()
-    for index, items in enumerate(pools.explore_blocks(seed)):
-        if measured and time.perf_counter() - started >= seconds:
-            break
+    while not repetitions or time.perf_counter() - started < seconds:
+        items = list(block)
+        rng.shuffle(items)
+        if not trace:
+            setup_times += common.time_interpreter_setup(SETUP_CODE, fresh_dir=True)
         if trace:
             # alternate which pass goes first, so warm-up favours neither
-            for traced in ((False, True) if index % 2 == 0 else (True, False)):
-                cache = ResultCache(common.scratch_dir(f"{traced}{index}"))
+            for traced in ((False, True) if repetitions % 2 == 0 else (True, False)):
+                cache = ResultCache(common.scratch_dir(f"{traced}{repetitions}"))
                 if traced:
                     with tracing.installed(targets):
                         outcomes = _run_block(items, cache, tracer)
@@ -129,30 +141,34 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
                     plain = _run_block(items, cache, None)
                     untraced_time += sum(seconds_ for _, seconds_, _ in plain)
         else:
-            outcomes = _run_block(items, ResultCache(common.scratch_dir(f"b{index}")), None)
+            cache = ResultCache(common.scratch_dir(f"b{repetitions}"))
+            outcomes = _run_block(items, cache, None)
         for outcome in outcomes:
             item, seconds_, record = outcome
-            total += seconds_
-            if _check(outcome, expected, check_certificate, result):
-                latencies.append(seconds_)
-            else:
+            key = item.task.cache_key()
+            best[key] = min(seconds_, best.get(key, seconds_))
+            if not isinstance(record, Exception) and record.feasible:
+                feasible.add(key)
+            runs += 1
+            if not _check(outcome, expected, check_certificate, result):
                 failed += 1
-            feasible = not isinstance(record, Exception) and record.feasible
-            measured.append((item.size, item.ops, item.below_floor, feasible))
+                wrong.add(key)
         del items, outcomes, outcome
-    result.attempted = len(measured)
+        repetitions += 1
+    result.attempted = runs
     result.failed = failed
 
-    count = len(measured)
-    sizes = Counter(size for size, _, _, _ in measured)
+    count = len(block)
+    sizes = Counter(item.size for item in block)
     common.note(
         WORKLOAD,
-        f"{count} tasks; below-floor share {sum(row[2] for row in measured) / count:.3f}; "
-        f"infeasible share {sum(not row[3] for row in measured) / count:.3f}; "
+        f"{count} tasks x {repetitions} repetitions; "
+        f"below-floor share {sum(item.below_floor for item in block) / count:.3f}; "
+        f"infeasible share {1 - len(feasible) / count:.3f}; "
         "tasks per size class (paper graphs by op count) "
         + ", ".join(f"{size}:{n}" for size, n in sorted(sizes.items()))
         + "; op count quartiles "
-        + "/".join(f"{q:g}" for q in statistics.quantiles([row[1] for row in measured], n=4)),
+        + "/".join(f"{q:g}" for q in statistics.quantiles([item.ops for item in block], n=4)),
     )
 
     if trace:
@@ -163,13 +179,19 @@ def run(seed: int, seconds: float, trace: bool) -> common.Run:
             result.metric(name, value, layer_unit(name))
         return result
 
-    rate = count / total if total else 0.0
-    common.note(WORKLOAD, common.samples_note(count, failed))
-    result.metric("setup_s", setup_s, "s")
+    latencies = [value for key, value in best.items() if key not in wrong]
+    rate = count / sum(best.values())
+    common.note(
+        WORKLOAD,
+        common.samples_note(count, len(wrong))
+        + f"; each the fastest of {repetitions} runs ({runs} runs, {failed} failed)",
+    )
+    result.metric("setup_s", statistics.median(setup_times), "s")
     result.metric("tasks_per_s", rate, "1/s")
     result.metric("cases_per_s", rate, "1/s")
     for q, name in ((0.5, "latency_p50_s"), (0.9, "latency_p90_s"), (0.99, "latency_p99_s")):
-        result.metric(name, common.ranked_percentile(latencies, failed, q), "s")
-    result.metric("ok_share", (count - failed) / count, "ratio")
+        result.metric(name, common.ranked_percentile(latencies, len(wrong), q), "s")
+    result.metric("ok_share", (runs - failed) / runs, "ratio")
     result.metric("peak_rss_mb", common.self_peak_rss_mb(), "MB")
     return result
+

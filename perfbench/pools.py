@@ -1,10 +1,11 @@
 """The finite input pools every workload draws from.
 
-A run's ``--seed`` picks *which* pool members it uses and in what order;
-the pools themselves are fixed, so every input any seed can produce has a
-pinned outcome in ``expected.json`` (see ``make_expected.py``).  Graphs
-come from the program's own generators (``repro.suite``), which is only
-input generation and not on any measured path.
+A run's ``--seed`` picks the order of its inputs and, on serve-mix, which
+pool members it draws; the pools themselves are fixed, so every input any
+seed can produce has a pinned outcome in ``expected.json`` (see
+``make_expected.py``).  Graphs come from the program's own generators
+(``repro.suite``), which is only input generation and not on any
+measured path.
 """
 
 from __future__ import annotations
@@ -28,23 +29,17 @@ PAPER_GRAPHS = ("hal", "cosine", "elliptic", "fir", "ar")
 # analytic power floor (cheap typed infeasibility, where graph load is
 # most of the cost) up to generous budgets (full synthesis) so a gain in
 # scheduling cannot hide a regression in graph load.
-# Every block holds the same mix, so the mix of a run does not depend on
-# how many blocks fit in --seconds on a given host.  A class's pool graphs
-# spread evenly over +-15% of its size (all but the largest) and fall into
-# one size stratum per power factor; each factor always runs on a graph of
-# the same stratum (a fixed pairing, shifted from class to class), so task
-# times form a continuum and the median does not sit on a gap between
-# classes.  A stratum holds three graphs and the paper graphs' slack
-# rotates over three values, so any three blocks in a row run the whole
-# pool: a run of three blocks holds the same tasks whatever the seed, and
-# the seed picks only which block runs which stratum member and slack, and
-# the order.  Paper graphs take three factors so they stay a minority of
-# the tasks.
+# A run repeats one fixed block of tasks, each repetition in a seeded
+# order on a fresh store.  Each size class holds one pool graph per power
+# factor, spread evenly over +-15% of its size (all but the largest), and
+# the factors are paired with the graphs by a shift from class to class,
+# so task times form a continuum and the median does not sit on a gap
+# between classes.  Each paper graph runs three factors at one of three
+# slacks, so paper graphs stay a minority of the tasks.  The block is the
+# same whatever the seed and however many repetitions fit in --seconds.
 EXPLORE_SIZES = (40, 80, 120, 160, 240)
 EXPLORE_FACTORS = (0.6, 0.9, 1.3, 2.0, 3.0)
 PAPER_FACTORS = (0.6, 1.3, 3.0)
-EXPLORE_STRATUM = 3
-EXPLORE_GRAPHS_PER_SIZE = EXPLORE_STRATUM * len(EXPLORE_FACTORS)
 EXPLORE_SLACK = 8
 PAPER_SLACKS = (2, 4, 6)
 
@@ -127,7 +122,7 @@ def explore_graph(size: int, index: int):
     """
     if size == EXPLORE_SIZES[-1]:
         return layered_graph(size, index)
-    spread = 0.3 * index / (EXPLORE_GRAPHS_PER_SIZE - 1)
+    spread = 0.3 * index / (len(EXPLORE_FACTORS) - 1)
     return layered_graph(round(size * (0.85 + spread)), index)
 
 
@@ -183,41 +178,27 @@ class Graph:
 # --------------------------------------------------------------------------- #
 # Seeded draws
 # --------------------------------------------------------------------------- #
-def explore_blocks(seed: int):
-    """Yield the run's blocks lazily, without end: the same mix in each.
+def explore_block() -> List[Item]:
+    """The block of tasks explore-cold repeats.
 
-    In block ``b``, for every size class but the largest, factor ``f``
-    runs on the ``b``-th member (from a seeded offset) of size stratum
-    ``(f + class) mod 5`` of that class's pool; the largest class runs its
-    first five pool graphs, one per factor; each paper graph runs three
-    factors at a slack that rotates over :data:`PAPER_SLACKS` from graph
-    to graph and block to block.  The tasks of a block run in a seeded
-    order.
+    In every size class but the largest, factor ``f`` runs on pool graph
+    ``(f + class) mod 5`` of that class; the largest class runs its five
+    pool graphs, one per factor, in order; paper graph ``g`` runs the
+    three :data:`PAPER_FACTORS` at slack ``PAPER_SLACKS[g mod 3]``.
     """
-    rng = random.Random(f"explore:{seed}")
     width = len(EXPLORE_FACTORS)
-    offsets = {size: rng.randrange(EXPLORE_STRATUM) for size in EXPLORE_SIZES}
-    paper_offset = rng.randrange(len(PAPER_SLACKS))
-    block = 0
-    while True:
-        items: List[Item] = []
-        for rank, size in enumerate(EXPLORE_SIZES):
-            for slot, factor in enumerate(EXPLORE_FACTORS):
-                if size == EXPLORE_SIZES[-1]:
-                    # the largest class is fixed work: its feasible tasks
-                    # are the slowest of a run and set p99
-                    index = slot
-                else:
-                    stratum = (slot + rank) % width
-                    index = stratum * EXPLORE_STRATUM + (offsets[size] + block) % EXPLORE_STRATUM
-                graph = Graph(explore_graph(size, index), size=size)
-                items.extend(graph.sweep(EXPLORE_SLACK, (factor,)))
-        for position, name in enumerate(PAPER_GRAPHS):
-            slack = PAPER_SLACKS[(position + block + paper_offset) % len(PAPER_SLACKS)]
-            items.extend(Graph.paper(name).sweep(slack, PAPER_FACTORS))
-        rng.shuffle(items)
-        yield items
-        block += 1
+    items: List[Item] = []
+    for rank, size in enumerate(EXPLORE_SIZES):
+        for slot, factor in enumerate(EXPLORE_FACTORS):
+            # the largest class is fixed work: its feasible tasks are the
+            # slowest of a run and set p99
+            index = slot if size == EXPLORE_SIZES[-1] else (slot + rank) % width
+            graph = Graph(explore_graph(size, index), size=size)
+            items.extend(graph.sweep(EXPLORE_SLACK, (factor,)))
+    for position, name in enumerate(PAPER_GRAPHS):
+        slack = PAPER_SLACKS[position % len(PAPER_SLACKS)]
+        items.extend(Graph.paper(name).sweep(slack, PAPER_FACTORS))
+    return items
 
 
 def serve_corpus() -> List[Item]:
@@ -267,7 +248,7 @@ def all_pinned_tasks() -> Dict[str, Any]:
     """Every task a run of explore-cold or serve-mix can submit, by key."""
     items: List[Item] = []
     for size in EXPLORE_SIZES:
-        for index in range(EXPLORE_GRAPHS_PER_SIZE):
+        for index in range(len(EXPLORE_FACTORS)):
             items.extend(Graph(explore_graph(size, index)).sweep(EXPLORE_SLACK, EXPLORE_FACTORS))
     for name in PAPER_GRAPHS:
         for slack in PAPER_SLACKS:
